@@ -49,6 +49,7 @@ from repro.core import (
     SpeculativeDriver,
     Speculator,
     SyncIterativeProgram,
+    Verdict,
     WeightedHistory,
     ZeroOrderHold,
     run_program,
@@ -89,6 +90,7 @@ __all__ = [
     "SpeculativeDriver",
     "Speculator",
     "SyncIterativeProgram",
+    "Verdict",
     "WeightedHistory",
     "ZeroOrderHold",
     "cold_disk",

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import SyncIterativeProgram, Verdict
 from repro.core.speculators import ZeroOrderHold
 from repro.partition import Partition, proportional_partition
 
@@ -125,16 +125,16 @@ class CoupledMapLattice(SyncIterativeProgram):
         *both* ghosts (its first and last site), so both are checked.
         """
         if np.asarray(actual).size == 0:
-            return 0.0
+            return Verdict(0.0)
         p = self.nprocs
         consumed = []
         if k == (rank - 1) % p:
             consumed.append(-1)
         if k == (rank + 1) % p:
             consumed.append(0)
-        return max(
+        return Verdict(max(
             abs(float(speculated[i]) - float(actual[i])) for i in consumed
-        )
+        ))
 
     # --------------------------------------------------------- cost model
     def compute_ops(self, rank: int) -> float:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import SyncIterativeProgram, Verdict
 from repro.core.speculators import LinearExtrapolation
 from repro.partition import Partition, proportional_partition
 
@@ -152,11 +152,11 @@ class HeatEquation1D(SyncIterativeProgram):
     def check(self, rank, k, speculated, actual, own):
         """Absolute error on the single ghost cell that was consumed."""
         if np.asarray(actual).size == 0:
-            return 0.0
+            return Verdict(0.0)
         idx = self._ghost_index(rank, k)
-        return abs(float(speculated[idx]) - float(actual[idx]))
+        return Verdict(abs(float(speculated[idx]) - float(actual[idx])))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+    def correct(self, rank, next_block, inputs, k, speculated, actual, t, verdict):
         """Exact incremental fix: only the edge cell reads the neighbor.
 
         A wrong speculated neighbor strip affects the local update only

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import SyncIterativeProgram, Verdict
 from repro.core.speculators import LinearExtrapolation
 from repro.partition import Partition, proportional_partition
 
@@ -157,11 +157,11 @@ class HeatEquation2D(SyncIterativeProgram):
     def check(self, rank, k, speculated, actual, own):
         """Max absolute error over the consumed ghost row."""
         if np.asarray(actual).size == 0:
-            return 0.0
+            return Verdict(0.0)
         idx = self._ghost_row_index(rank, k)
-        return float(np.max(np.abs(speculated[idx, :] - actual[idx, :])))
+        return Verdict(float(np.max(np.abs(speculated[idx, :] - actual[idx, :]))))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+    def correct(self, rank, next_block, inputs, k, speculated, actual, t, verdict):
         """Exact incremental fix of the strip row adjacent to ``k``."""
         if next_block.size == 0:
             return next_block, 0.0

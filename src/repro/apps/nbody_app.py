@@ -21,12 +21,12 @@ speculate a particle, 24 to check one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import Verdict
 from repro.core.receive_driven import IncrementalProgram
 from repro.nbody.barneshut import NODE_FLOPS, Octree, bh_accelerations
 from repro.nbody.forces import PAIR_FLOPS, accelerations_from_sources
@@ -42,6 +42,16 @@ from repro.partition import Partition, proportional_partition
 
 #: Extra flops per owned particle for the velocity/position update.
 INTEGRATE_FLOPS = 12.0
+
+
+class Eq11Detail(NamedTuple):
+    """The N-body check's private half of a :class:`Verdict`."""
+
+    #: (n_k,) bool: remote particles whose Eq. 11 ratio exceeds θ.
+    rejected: np.ndarray
+    #: (n_k,) index of each remote particle's nearest local particle
+    #: (the reference pair for Table 3's force errors).
+    nearest: np.ndarray
 
 
 @dataclass
@@ -210,36 +220,39 @@ class NBodyProgram(IncrementalProgram):
         return np.hstack([pos, last[:, 3:].copy()])
 
     def check(self, rank, k, speculated, actual, own):
-        """Worst Eq. 11 ratio over k's particles vs. our particles."""
-        ratios = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own[:, :3])
-        self.spec_stats.particles_checked += ratios.size
-        rejected = int(np.count_nonzero(ratios > self.threshold))
-        self.spec_stats.particles_rejected += rejected
-        if self.record_force_errors and ratios.size:
-            self._record_force_errors(speculated, actual, own, ratios)
-        return float(ratios.max()) if ratios.size else 0.0
+        """Worst Eq. 11 ratio over k's particles vs. our particles.
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+        One pass decides every particle: the verdict's detail carries
+        the per-particle reject mask :meth:`correct` acts on.
+        """
+        ratios, nearest = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own[:, :3])
+        detail = Eq11Detail(ratios > self.threshold, nearest)
+        self.spec_stats.particles_checked += ratios.size
+        self.spec_stats.particles_rejected += int(np.count_nonzero(detail.rejected))
+        if self.record_force_errors and ratios.size:
+            self._record_force_errors(speculated, actual, own, detail)
+        return Verdict(float(ratios.max()) if ratios.size else 0.0, detail)
+
+    def correct(self, rank, next_block, inputs, k, speculated, actual, t, verdict):
         """Exact incremental correction of the rejected particles only.
 
         Semi-implicit Euler is linear in the acceleration, so replacing
         the contribution of the offending source particles repairs the
         block exactly:  Δa = a(actual_bad) − a(spec_bad);
-        v ← v + Δa·Δt;  x ← x + Δa·Δt².
+        v ← v + Δa·Δt;  x ← x + Δa·Δt².  The offending particles are
+        the ones :meth:`check` rejected (``verdict.detail.rejected``).
         """
         if not self.incremental_correction:
             # Naive policy: recompute the whole block from scratch.
             fixed = dict(inputs)
             fixed[k] = actual
             return self.compute(rank, fixed, t), self.compute_ops(rank)
-        own = inputs[rank]
-        own_pos = own[:, :3]
-        ratios = pairwise_error_ratios(speculated[:, :3], actual[:, :3], own_pos)
-        bad = ratios > self.threshold
+        own_pos = inputs[rank][:, :3]
+        bad = verdict.detail.rejected
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
-            # Driver-level rejection implies at least one bad particle;
-            # guard anyway (threshold exactly on the boundary).
+            # An engine rejection implies at least one bad particle; a
+            # direct call with an accepting verdict has nothing to fix.
             return next_block, 0.0
         a_spec = accelerations_from_sources(
             own_pos,
@@ -261,19 +274,14 @@ class NBodyProgram(IncrementalProgram):
         ops = 2.0 * PAIR_FLOPS * n_bad * own_pos.shape[0] + 6.0 * own_pos.shape[0]
         return np.hstack([new_pos, new_vel]), ops
 
-    def _record_force_errors(self, speculated, actual, own, ratios):
+    def _record_force_errors(self, speculated, actual, own, detail):
         """Relative pair-force error vs the nearest local particle."""
-        accepted = ratios <= self.threshold
+        accepted = ~detail.rejected
         if not np.any(accepted):
             return
         sp = speculated[accepted, :3]
         ap = actual[accepted, :3]
-        own_pos = own[:, :3]
-        # Nearest local particle for each accepted remote particle.
-        delta = ap[:, None, :] - own_pos[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-        nearest = dist.argmin(axis=1)
-        b = own_pos[nearest]
+        b = own[detail.nearest[accepted], :3]
         eps2 = self.system.softening**2
         f_act = (ap - b) / ((np.sum((ap - b) ** 2, axis=1) + eps2) ** 1.5)[:, None]
         f_spec = (sp - b) / ((np.sum((sp - b) ** 2, axis=1) + eps2) ** 1.5)[:, None]

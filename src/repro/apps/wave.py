@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import SyncIterativeProgram, Verdict
 from repro.core.speculators import LinearExtrapolation
 from repro.partition import Partition, proportional_partition
 
@@ -139,11 +139,11 @@ class WaveEquation1D(SyncIterativeProgram):
     def check(self, rank, k, speculated, actual, own):
         """Absolute error on the consumed ghost displacement."""
         if np.asarray(actual).shape[1] == 0:
-            return 0.0
+            return Verdict(0.0)
         idx = self._ghost_index(rank, k)
-        return abs(float(speculated[0, idx]) - float(actual[0, idx]))
+        return Verdict(abs(float(speculated[0, idx]) - float(actual[0, idx])))
 
-    def correct(self, rank, next_block, inputs, k, speculated, actual, t):
+    def correct(self, rank, next_block, inputs, k, speculated, actual, t, verdict):
         """Exact incremental fix: the ghost enters one edge cell linearly."""
         if next_block.shape[1] == 0:
             return next_block, 0.0

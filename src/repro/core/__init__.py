@@ -28,7 +28,7 @@ from repro.core.checkers import (
     RmsError,
 )
 from repro.core.driver import SpeculativeDriver, run_program
-from repro.core.program import SyncIterativeProgram
+from repro.core.program import SyncIterativeProgram, Verdict
 from repro.core.receive_driven import IncrementalProgram, ReceiveDrivenDriver
 from repro.core.results import RunResult, SpecStats, speedup, speedup_max
 from repro.core.speculators import (
@@ -57,6 +57,7 @@ __all__ = [
     "Speculator",
     "SpeculativeDriver",
     "SyncIterativeProgram",
+    "Verdict",
     "WeightedHistory",
     "ZeroOrderHold",
     "run_program",

@@ -25,7 +25,7 @@ place after being returned.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,21 @@ from repro.core.speculators import Speculator, ZeroOrderHold
 
 #: Opaque per-processor state; typically numpy arrays.
 Block = Any
+
+
+class Verdict(NamedTuple):
+    """The outcome of one speculation check, decided once.
+
+    The engine compares :attr:`error` with θ; on rejection it hands the
+    same verdict back to the application's
+    :meth:`SyncIterativeProgram.correct`.  :attr:`detail` is private to
+    the application that produced it (the N-body check stores its
+    per-particle reject mask there), so the correction acts on the
+    check's decision instead of re-deriving it.
+    """
+
+    error: float
+    detail: Any = None
 
 
 class SyncIterativeProgram(ABC):
@@ -51,7 +66,7 @@ class SyncIterativeProgram(ABC):
         Number of synchronous iterations to run.
     threshold:
         Acceptance threshold θ: a speculation with
-        ``check(...) > threshold`` triggers correction.
+        ``check(...).error > threshold`` triggers correction.
     speculator:
         Default speculation function used by :meth:`speculate`.
     error_metric:
@@ -112,15 +127,15 @@ class SyncIterativeProgram(ABC):
         """
         return self.speculator.extrapolate(times, values, target)
 
-    def check(self, rank: int, k: int, speculated: Block, actual: Block, own: Block) -> float:
-        """Error of a past speculation, as seen by ``rank``.
+    def check(self, rank: int, k: int, speculated: Block, actual: Block, own: Block) -> Verdict:
+        """Verdict on a past speculation, as seen by ``rank``.
 
         ``own`` is the observing rank's block at the same iteration,
         allowing relational metrics like the paper's Eq. 11 (error
         relative to inter-particle distance).  Default: the generic
-        :attr:`error_metric` on the raw arrays.
+        :attr:`error_metric` on the raw arrays, with no detail.
         """
-        return self.error_metric.error(np.asarray(speculated), np.asarray(actual))
+        return Verdict(self.error_metric.error(np.asarray(speculated), np.asarray(actual)))
 
     def correct(
         self,
@@ -131,6 +146,7 @@ class SyncIterativeProgram(ABC):
         speculated: Block,
         actual: Block,
         t: int,
+        verdict: Verdict,
     ) -> tuple[Block, float]:
         """Repair ``rank``'s block at t+1 after a rejected speculation.
 
@@ -147,6 +163,10 @@ class SyncIterativeProgram(ABC):
             The rejected and the true block of ``k`` at iteration ``t``.
         t:
             The iteration whose inputs were wrong.
+        verdict:
+            What :meth:`check` returned for this speculation; its
+            ``detail`` carries whatever the check decided that the
+            repair needs.
 
         Returns
         -------

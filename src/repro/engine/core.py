@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, FrozenSet, Generator, Optional, Sequence, Tuple
 
 from repro.analysis.taint.annotations import commits
-from repro.core.program import Block, SyncIterativeProgram
+from repro.core.program import Block, SyncIterativeProgram, Verdict
 from repro.core.results import SpecStats
 from repro.engine.events import (
     VARS,
@@ -583,16 +583,16 @@ class SpecEngine:
         # transports attribute the real check time to the right phase;
         # under DES the virtual timeline is identical either way (no
         # effect separates the two).
-        error = prog.check(j, k, spec, actual, own)
+        verdict = prog.check(j, k, spec, actual, own)
         yield Charge(prog.check_ops(j, k), phase="check", iteration=t)
-        if error <= prog.threshold:
+        if verdict.error <= prog.threshold:
             stats.spec_accepted += 1
             return
         stats.spec_rejected += 1
-        yield from self._cascade(k, t, spec, actual)
+        yield from self._cascade(k, t, spec, actual, verdict)
 
     def _cascade(
-        self, k: int, t: int, spec: Block, actual: Block
+        self, k: int, t: int, spec: Block, actual: Block, verdict: Verdict
     ) -> Generator:
         """Repair iteration ``t``; recompute everything after it."""
         prog = self.program
@@ -601,10 +601,10 @@ class SpecEngine:
         yield CascadeBegin(iteration=t)
 
         # Repair iteration t itself via the (possibly incremental)
-        # application correction hook.
+        # application correction hook, acting on the check's verdict.
         inputs = self.inputs_used[t]
         corrected, ops = prog.correct(
-            j, self.chain[t + 1], inputs, k, spec, actual, t
+            j, self.chain[t + 1], inputs, k, spec, actual, t, verdict
         )
         inputs[k] = actual
         yield Charge(ops, phase="correct", iteration=t)

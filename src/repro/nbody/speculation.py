@@ -41,12 +41,17 @@ def pairwise_error_ratios(
     actual_pos: np.ndarray,
     local_pos: np.ndarray,
     eps: float = 1e-12,
-) -> np.ndarray:
-    """Per-remote-particle worst-case Eq. 11 ratio.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-remote-particle worst-case Eq. 11 ratio and nearest local index.
 
     For each remote particle a, returns
     ``‖r*_a − r_a‖ / min_b ‖r_a − r_b‖`` — the error ratio against the
-    *nearest* local particle, i.e. the largest ratio over all local b.
+    *nearest* local particle, i.e. the largest ratio over all local b —
+    together with the index of that nearest local particle.
+
+    The nearest distances come from one planar pass: the squared
+    per-axis differences are accumulated into a single (n_r, n_l)
+    array, so no (n_r, n_l, 3) intermediate is ever built.
 
     Parameters
     ----------
@@ -59,7 +64,9 @@ def pairwise_error_ratios(
 
     Returns
     -------
-    (n_r,) array of ratios (all zero if there are no local particles).
+    ``(ratios, nearest)``: two (n_r,) arrays, the ratios and the index of
+    each remote particle's nearest local particle (both all zero if there
+    are no local particles).
     """
     sp = np.asarray(speculated_pos, dtype=float)
     ap = np.asarray(actual_pos, dtype=float)
@@ -68,15 +75,16 @@ def pairwise_error_ratios(
         raise ValueError("speculated and actual positions must match shapes")
     if sp.ndim != 2 or sp.shape[1] != 3:
         raise ValueError("positions must be (n, 3)")
-    if sp.shape[0] == 0:
-        return np.zeros(0)
-    if lp.shape[0] == 0:
-        return np.zeros(sp.shape[0])
+    n_r = sp.shape[0]
+    if n_r == 0 or lp.shape[0] == 0:
+        return np.zeros(n_r), np.zeros(n_r, dtype=np.intp)
     displacement = np.linalg.norm(sp - ap, axis=1)
-    delta = ap[:, None, :] - lp[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-    nearest = np.maximum(dist.min(axis=1), eps)
-    return displacement / nearest
+    dist2 = np.subtract.outer(ap[:, 0], lp[:, 0]) ** 2
+    for c in (1, 2):
+        dist2 += np.subtract.outer(ap[:, c], lp[:, c]) ** 2
+    nearest = dist2.argmin(axis=1)
+    ratios = displacement / np.maximum(np.sqrt(dist2[np.arange(n_r), nearest]), eps)
+    return ratios, nearest
 
 
 def worst_pairwise_error(
@@ -85,5 +93,5 @@ def worst_pairwise_error(
     local_pos: np.ndarray,
 ) -> float:
     """Maximum Eq. 11 ratio over all (remote, local) pairs."""
-    ratios = pairwise_error_ratios(speculated_pos, actual_pos, local_pos)
+    ratios = pairwise_error_ratios(speculated_pos, actual_pos, local_pos)[0]
     return float(ratios.max()) if ratios.size else 0.0

@@ -157,6 +157,11 @@ class MPRunner:
         retransmit layer recovers.  Per-rank receipts come back in
         ``WorkerReport.fault_summary`` (see
         :meth:`MPRunResult.fault_summary`).
+    failure_grace:
+        Wall seconds the surviving workers get, once any worker has
+        reported an error, to fail on their own before the runner gives
+        up on them (they may be blocked on receives that will never be
+        satisfied) instead of burning the full run timeout.
     """
 
     def __init__(
@@ -173,17 +178,21 @@ class MPRunner:
         window_policy: Optional[WindowPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         hist_cap: Optional[int] = None,
+        failure_grace: float = 10.0,
     ) -> None:
         if fw < 0:
             raise ValueError("fw must be >= 0")
         if latency < 0 or jitter < 0:
             raise ValueError("latency and jitter must be >= 0")
+        if failure_grace <= 0:
+            raise ValueError("failure_grace must be > 0")
         self.program = program
         self.fw = fw
         self.cascade = CascadePolicy.coerce(cascade)
         self.window_policy = window_policy
         self.fault_plan = fault_plan
         self.hist_cap = hist_cap
+        self.failure_grace = failure_grace
         self.latency = latency
         self.jitter = jitter
         self.seed = seed
@@ -247,11 +256,6 @@ class MPRunner:
             conn: rank for rank, conn in enumerate(result_conns)
         }
         deadline = time.monotonic() + timeout
-        #: Once any worker reports an error, its peers may be blocked
-        #: on receives that will never be satisfied — give them a short
-        #: grace window to fail on their own, then give up on them
-        #: rather than burning the full run timeout.
-        failure_grace = 10.0
         failed = False
         try:
             while pending:
@@ -291,11 +295,15 @@ class MPRunner:
                         if not failed:
                             failed = True
                             deadline = min(
-                                deadline, time.monotonic() + failure_grace
+                                deadline, time.monotonic() + self.failure_grace
                             )
         finally:
+            # After a failure the survivors already had their grace
+            # window; waiting longer on a peer stuck in a receive only
+            # delays the teardown below.
+            join_timeout = self.failure_grace if failed else 10.0
             for proc in workers:
-                proc.join(timeout=10)
+                proc.join(timeout=join_timeout)
             stragglers = [proc for proc in workers if proc.is_alive()]
             for proc in stragglers:  # pragma: no cover - defensive
                 proc.terminate()

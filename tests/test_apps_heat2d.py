@@ -64,7 +64,8 @@ def test_incremental_row_correction_exact():
     tainted = dict(inputs)
     tainted[1] = wrong
     bad_next = prog.compute(0, tainted, 0)
-    fixed, ops = prog.correct(0, bad_next, tainted, 1, wrong, inputs[1], 0)
+    verdict = prog.check(0, 1, wrong, inputs[1], inputs[0])
+    fixed, ops = prog.correct(0, bad_next, tainted, 1, wrong, inputs[1], 0, verdict)
     clean = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(fixed, clean, atol=1e-13)
     assert ops > 0
@@ -75,10 +76,10 @@ def test_check_only_consumed_ghost_row():
     spec = prog.initial_block(1).copy()
     actual = prog.initial_block(1)
     spec[-1, :] += 10.0  # bottom row of strip 1: NOT read by rank 0
-    assert prog.check(0, 1, spec, actual, prog.initial_block(0)) == 0.0
+    assert prog.check(0, 1, spec, actual, prog.initial_block(0)).error == 0.0
     spec2 = actual.copy()
     spec2[0, :] += 0.25  # top row: read by rank 0
-    assert prog.check(0, 1, spec2, actual, prog.initial_block(0)) == pytest.approx(0.25)
+    assert prog.check(0, 1, spec2, actual, prog.initial_block(0)).error == pytest.approx(0.25)
 
 
 def test_speculate_extrapolates_only_ghost_row():

@@ -85,7 +85,10 @@ def test_incremental_correction_is_exact():
     tainted_inputs = dict(inputs)
     tainted_inputs[1] = wrong
     tainted_next = prog.compute(0, tainted_inputs, 0)
-    corrected, ops = prog.correct(0, tainted_next, tainted_inputs, 1, wrong, inputs[1], 0)
+    verdict = prog.check(0, 1, wrong, inputs[1], inputs[0])
+    corrected, ops = prog.correct(
+        0, tainted_next, tainted_inputs, 1, wrong, inputs[1], 0, verdict
+    )
     clean_next = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(corrected, clean_next, atol=1e-12)
     assert ops > 0
@@ -95,7 +98,8 @@ def test_correction_noop_when_all_within_threshold():
     prog, caps = make_program(n=20, p=2, threshold=1e9)
     inputs = {r: prog.initial_block(r) for r in range(2)}
     next_block = prog.compute(0, inputs, 0)
-    corrected, ops = prog.correct(0, next_block, inputs, 1, inputs[1], inputs[1], 0)
+    verdict = prog.check(0, 1, inputs[1], inputs[1], inputs[0])
+    corrected, ops = prog.correct(0, next_block, inputs, 1, inputs[1], inputs[1], 0, verdict)
     assert ops == 0.0
     np.testing.assert_array_equal(corrected, next_block)
 

@@ -65,7 +65,8 @@ def test_heat_incremental_correction_exact():
     tainted = dict(inputs)
     tainted[1] = wrong
     bad_next = prog.compute(0, tainted, 0)
-    fixed, ops = prog.correct(0, bad_next, tainted, 1, wrong, inputs[1], 0)
+    verdict = prog.check(0, 1, wrong, inputs[1], inputs[0])
+    fixed, ops = prog.correct(0, bad_next, tainted, 1, wrong, inputs[1], 0, verdict)
     clean = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(fixed, clean, atol=1e-14)
     assert ops == 4.0

@@ -64,7 +64,8 @@ def test_wave_incremental_correction_exact():
     tainted = dict(inputs)
     tainted[1] = wrong
     bad = prog.compute(0, tainted, 0)
-    fixed, ops = prog.correct(0, bad, tainted, 1, wrong, inputs[1], 0)
+    verdict = prog.check(0, 1, wrong, inputs[1], inputs[0])
+    fixed, ops = prog.correct(0, bad, tainted, 1, wrong, inputs[1], 0, verdict)
     clean = prog.compute(0, inputs, 0)
     np.testing.assert_allclose(fixed, clean, atol=1e-14)
     assert ops == 4.0
@@ -102,9 +103,9 @@ def test_wave_linear_extrapolation_beats_hold():
 
         class Instrumented(WaveEquation1D):
             def check(self, rank, k, speculated, actual, own):
-                e = super().check(rank, k, speculated, actual, own)
-                errors.append(e)
-                return e
+                verdict = super().check(rank, k, speculated, actual, own)
+                errors.append(verdict.error)
+                return verdict
 
         prog = Instrumented(
             gaussian_pulse(96, width=0.08), [1e6] * 4, 60,

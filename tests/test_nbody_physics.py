@@ -238,7 +238,7 @@ def test_pairwise_error_ratio_formula():
     act = np.array([[1.0, 0.0, 0.0]])
     local = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     # displacement 0.1; nearest local at distance 1.0
-    ratios = pairwise_error_ratios(spec, act, local)
+    ratios, _ = pairwise_error_ratios(spec, act, local)
     np.testing.assert_allclose(ratios, [0.1])
     assert worst_pairwise_error(spec, act, local) == pytest.approx(0.1)
 
@@ -250,8 +250,8 @@ def test_pairwise_error_zero_for_exact_speculation():
 
 
 def test_pairwise_error_empty_inputs():
-    assert pairwise_error_ratios(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((3, 3))).size == 0
-    out = pairwise_error_ratios(np.ones((2, 3)), np.ones((2, 3)), np.zeros((0, 3)))
+    assert pairwise_error_ratios(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((3, 3)))[0].size == 0
+    out, _ = pairwise_error_ratios(np.ones((2, 3)), np.ones((2, 3)), np.zeros((0, 3)))
     np.testing.assert_array_equal(out, [0.0, 0.0])
     assert worst_pairwise_error(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
 

@@ -61,11 +61,16 @@ def test_pre_barrier_failure_raises_fast():
 
 
 def test_post_barrier_failure_bounded_by_grace():
-    runner = MPRunner(ExplodingCompute(2, iterations=8), fw=1)
+    runner = MPRunner(ExplodingCompute(2, iterations=8), fw=1, failure_grace=1.0)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="boom in compute"):
         runner.run(timeout=120.0)
-    # Bounded by the failure grace window (10 s) plus join/teardown
+    # Bounded by the failure grace window (1 s) plus join/teardown
     # slack, not by the 120 s run timeout.
     assert time.monotonic() - start < 60.0
     _assert_no_orphans()
+
+
+def test_failure_grace_must_be_positive():
+    with pytest.raises(ValueError, match="failure_grace"):
+        MPRunner(CoupledIncrement(2, iterations=2), failure_grace=0.0)
