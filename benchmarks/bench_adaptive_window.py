@@ -5,12 +5,12 @@ online from observed waiting time and rejection rate (AIMD-style), and
 compares against the static windows on the bursty-Ethernet N-body.
 """
 
-from repro.core import run_program
-from repro.core.adaptive import AdaptivePolicy, AdaptiveSpeculativeDriver
+from repro.api import RunConfig, run
 from repro.apps import NBodyProgram
 from repro.harness import format_table
 from repro.nbody import uniform_cube
 from repro.platforms import wustl_1994
+from repro.policy import AimdWindow
 
 
 def build(p=16, iterations=20):
@@ -26,19 +26,18 @@ def run_comparison():
     rows = []
     for label, fw in (("static FW=0", 0), ("static FW=1", 1), ("static FW=2", 2)):
         prog, cluster = build()
-        res = run_program(prog, cluster, fw=fw, cascade="none")
+        res = run(RunConfig(prog, cluster=cluster, fw=fw, cascade="none")).raw
         rows.append([label, res.time_per_iteration, "-"])
     prog, cluster = build()
     # min_fw=1: communication always dominates on this platform, so the
     # controller should explore windows, not fall back to blocking.
-    # Rejection thresholds use the driver's *block-level* rates, which
+    # Rejection thresholds use the engine's *block-level* rates, which
     # sit well above the particle-level 2%.
-    driver = AdaptiveSpeculativeDriver(
-        prog, cluster, fw=1,
-        policy=AdaptivePolicy(epoch=4, min_fw=1, max_fw=3),
-    )
-    res = driver.run()
-    windows = driver.final_windows()
+    res = run(RunConfig(
+        prog, cluster=cluster, fw=1, cascade="none",
+        window_policy=AimdWindow(epoch=4, min_fw=1, max_fw=3),
+    )).raw
+    windows = res.final_windows()
     rows.append([
         "adaptive (start FW=1)",
         res.time_per_iteration,

@@ -86,9 +86,7 @@ from repro.analysis.reporters import render, render_json, render_text
 from repro.analysis.sarif import (
     apply_baseline,
     fingerprint,
-    load_baseline,
     render_sarif,
-    write_baseline,
 )
 from repro.analysis.specflow import analyze_paths, analyze_source
 
@@ -128,10 +126,8 @@ __all__ = [
     "apply_baseline",
     "cross_reference",
     "fingerprint",
-    "load_baseline",
     "render_sarif",
     "replay",
-    "write_baseline",
     "ReplayFinding",
     "ReplayReport",
     "Verdict",

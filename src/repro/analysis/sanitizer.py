@@ -405,6 +405,13 @@ def run_selftest(verbose: bool = True) -> int:
         san = ProtocolSanitizer()
         san.on_ring_occupancy(0, src=1, occupancy=5, capacity=4)
 
+    def bad_run_ahead() -> None:
+        from repro.engine.core import run_ahead_bound
+
+        san = ProtocolSanitizer()
+        bound = run_ahead_bound(0)
+        san.on_inbox_depth(0, src=1, depth=bound + 1, bound=bound)
+
     def bad_retransmit() -> None:
         san = ProtocolSanitizer()
         san.on_retransmit(0, src=1, seq=2, attempt=5, max_attempts=4)
@@ -417,6 +424,7 @@ def run_selftest(verbose: bool = True) -> int:
     expect_violation("eventual-verification", bad_run_end)
     expect_violation("window-policy-bound", bad_window_policy)
     expect_violation("buffer-occupancy-bounded", bad_occupancy)
+    expect_violation("buffer-occupancy-bounded", bad_run_ahead)
     expect_violation("retransmit-bounded", bad_retransmit)
 
     if verbose:
@@ -427,6 +435,6 @@ def run_selftest(verbose: bool = True) -> int:
             print(
                 "sanitizer selftest ok: clean run passed; "
                 f"{len(ProtocolSanitizer.INVARIANTS)} invariants armed, "
-                "9 crafted violations detected"
+                "10 crafted violations detected"
             )
     return 1 if failures else 0

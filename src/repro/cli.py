@@ -7,13 +7,15 @@ Subcommands
 ``repro run fig8 [--out FILE]``
     Regenerate one of the paper's tables/figures and print it.
 ``repro nbody -p 8 --fw 1 [--backend des|loopback|mp] ...``
-    Run a single N-body experiment with explicit knobs; optionally
-    record the protocol event trace for later replay.  ``--backend
-    mp`` runs the same protocol engine on real OS processes over
-    pipes with injected latency instead of the simulator.
+    Run a single N-body experiment with explicit knobs through
+    :func:`repro.api.run`; optionally record the protocol event trace
+    for later replay.  Every backend prints the same report fields
+    (only the clock differs): the calibrated simulator, the
+    deterministic in-process scheduler, or real OS processes over
+    pipes with injected latency.
 ``repro jacobi -p 4 -n 64 [--backend des|loopback|mp] ...``
-    Run a Jacobi solve through the unified :mod:`repro.api` facade on
-    any backend, with the same run flags as ``nbody``/``chaos``.
+    Run a Jacobi solve through :func:`repro.api.run` on any backend,
+    with the same run flags and report fields as ``nbody``.
 ``repro chaos [--plan FILE | --drop 0.01 ...] [--verify] ...``
     Run a seeded fault-injection campaign: a :class:`~repro.faults.FaultPlan`
     from a JSON file or inline flags perturbs the receive path while
@@ -58,13 +60,11 @@ instead of silently no-opping.  (``mc`` keeps its sweep-valued
     ``--trace`` checks the derived symbolic occupancy bounds against
     a recorded event log's observed per-rank maxima and reports each
     occupancy contract CONFIRMED / REFUTED / UNOBSERVED.
-``repro check [paths] [--sarif FILE] [--stats] [--migrate-baselines]``
+``repro check [paths] [--sarif FILE] [--stats]``
     Umbrella: run all five families (speclint, specflow, specperf,
     spectaint, specbound) in one process over one shared parse + call
     graph, optionally writing a single merged SARIF document;
-    ``--stats`` prints per-tool wall time and parse counts;
-    ``--migrate-baselines`` performs the one-shot move of legacy
-    per-tool baseline files into ``.speclint/baselines.json``.
+    ``--stats`` prints per-tool wall time and parse counts.
 ``repro mc [--p 2,3] [--fw 0,1] [--iters 3] [--budget 60s] ...``
     Run specmc: exhaustively model-check every message-delivery and
     scheduling interleaving of bounded engine configurations against
@@ -270,10 +270,6 @@ def _window_policy(args: argparse.Namespace, degraded: bool = False):
     return DegradedWindow(inner) if degraded else inner
 
 
-# Back-compat alias (the old name predates the shared parent).
-_nbody_window_policy = _window_policy
-
-
 def _nbody_overrides(args: argparse.Namespace) -> Optional[dict]:
     """HEADLINE-config overrides from the shared run flags (None when
     the run keeps the paper's canonical operating point)."""
@@ -285,147 +281,87 @@ def _nbody_overrides(args: argparse.Namespace) -> Optional[dict]:
     return overrides or None
 
 
-def _cmd_nbody(args: argparse.Namespace) -> int:
-    try:
-        latency, jitter, timeout = _mp_flags(args)
-        policy = _window_policy(args)
-    except (_UsageError, ValueError) as exc:
-        print(f"repro nbody: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.backend == "mp":
-        return _cmd_nbody_mp(args, policy, latency, jitter, timeout)
-    if args.backend == "loopback":
-        return _cmd_nbody_loopback(args, policy)
-    from repro.harness import run_nbody
-
-    event_log = None
-    if args.record_trace:
-        from repro.trace import EventLog
-
-        event_log = EventLog()
-    config = _nbody_overrides(args)
-    program, result = run_nbody(
-        p=args.p,
-        fw=args.fw,
-        iterations=args.iterations,
-        n_particles=args.particles,
-        threshold=args.theta,
-        config=config,
-        event_log=event_log,
-        window_policy=policy,
-        hist_cap=args.bw,
-        sanitize=args.sanitize,
-    )
-    if event_log is not None:
-        event_log.save(args.record_trace)
-        print(f"(trace: {len(event_log)} events written to {args.record_trace})")
-    b = result.steady_breakdown() if result.iterations > 1 else result.breakdown()
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
-        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta}{mode}"
-    )
-    print(f"  makespan            : {result.makespan:.3f} virtual s")
-    print(f"  time/iteration      : {result.time_per_iteration:.3f} s")
-    print(f"  compute / comm      : {b['compute']:.3f} / {b['comm']:.3f} s per iter")
-    print(f"  spec / check / corr : {b['spec']:.3f} / {b['check']:.3f} / {b['correct']:.3f}")
-    print(f"  rejected speculation: {100 * program.spec_stats.incorrect_fraction:.2f}%")
-    if policy is not None:
-        changes = sum(len(h) - 1 for h in result.window_history)
-        print(
-            f"  final windows       : {result.final_windows()} "
-            f"({changes} change(s))"
-        )
-    return 0
+#: Per backend: the unit of ``RunReport.wall_seconds``, the unit of
+#: its ``timings`` and the decimals both print with.
+_UNITS = {
+    "des": ("virtual s", "virtual s", 3),
+    "loopback": ("scheduler rounds", "ops", 0),
+    "mp": ("wall s", "wall s", 3),
+}
 
 
-def _cmd_nbody_loopback(args: argparse.Namespace, policy) -> int:
-    """``repro nbody --backend loopback``: deterministic, costs in ops."""
-    from repro.api import RunConfig, run as api_run
-    from repro.apps import NBodyProgram
-    from repro.harness.experiments import HEADLINE
-    from repro.nbody import uniform_cube
+def _field(label: str, text: str) -> None:
+    print(f"  {label:<32s}: {text}")
 
-    cfg = dict(HEADLINE)
-    cfg.update(_nbody_overrides(args) or {})
-    system = uniform_cube(
-        args.particles, seed=cfg["ic_seed"], softening=cfg["softening"]
-    )
-    program = NBodyProgram(
-        system, [1.0] * args.p, iterations=args.iterations,
-        dt=cfg["dt"], threshold=args.theta,
-    )
-    report = api_run(RunConfig(
-        program, backend="loopback", fw=args.fw, bw=args.bw,
-        cascade=cfg["cascade"], window_policy=policy,
-        record_trace=bool(args.record_trace), sanitize=args.sanitize,
-        seed=cfg["seed"],
-    ))
+
+def _save_trace(args: argparse.Namespace, report) -> None:
     if args.record_trace:
         report.event_log.save(args.record_trace)
         print(f"(trace: {len(report.event_log)} events written to "
               f"{args.record_trace})")
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
-        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta} backend=loopback{mode}"
-    )
-    print(f"  scheduler rounds    : {int(report.wall_seconds)}")
-    ops = " / ".join(
-        f"{phase}={report.timings[phase]:.0f}"
-        for phase in sorted(report.timings)
-    )
-    print(f"  phase ops (max/rank): {ops}")
-    print(f"  rejected speculation: {100 * report.rejection_rate:.2f}%")
-    return 0
 
 
-def _cmd_nbody_mp(
-    args: argparse.Namespace, policy, latency: float, jitter: float,
-    timeout: float,
-) -> int:
-    """``repro nbody --backend mp``: the protocol on real processes."""
-    from repro.harness import run_nbody_mp
+def _print_report(report, policy, particles: Optional[float] = None) -> None:
+    """The report fields every run-style subcommand prints, with the
+    same labels on every backend (only the units differ)."""
+    from repro.trace.phases import PHASES
 
-    config = _nbody_overrides(args)
-    program, result = run_nbody_mp(
-        p=args.p,
-        fw=args.fw,
-        iterations=args.iterations,
-        n_particles=args.particles,
-        threshold=args.theta,
-        latency=latency,
-        jitter=jitter,
-        config=config,
-        record_events=bool(args.record_trace),
-        timeout=timeout,
-        window_policy=policy,
-        hist_cap=args.bw,
-        sanitize=args.sanitize,
-    )
-    if args.record_trace:
-        log = result.event_log()
-        log.save(args.record_trace)
-        print(f"(trace: {len(log)} events written to {args.record_trace})")
-    spec_made = sum(r.spec_made for r in result.reports)
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
-    print(
-        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
-        f"theta={args.theta} backend=mp latency={latency}s{mode}"
-    )
-    print(f"  wall time           : {result.wall_seconds:.3f} s (slowest rank)")
-    print(f"  compute / comm      : {result.phase_seconds('compute'):.3f} / "
-          f"{result.phase_seconds('comm'):.3f} s (max over ranks)")
-    print(f"  speculations made   : {spec_made}")
-    print(f"  rejected speculation: {100 * result.rejection_rate:.2f}%")
+    clock, cost, digits = _UNITS[report.backend]
+    _field("makespan", f"{report.wall_seconds:.{digits}f} {clock}")
+    for phase in PHASES:
+        _field(f"{phase} (max over ranks)",
+               f"{report.timings.get(phase, 0.0):.{digits}f} {cost}")
+    _field("rejected speculation (blocks)",
+           f"{100 * report.rejection_rate:.2f}%")
+    if particles is not None:
+        _field("rejected speculation (particles)", f"{100 * particles:.2f}%")
     if policy is not None:
-        changes = sum(
-            len(h) - 1 for h in result.window_history().values()
+        history = report.window_history
+        changes = sum(len(h) - 1 for h in history.values())
+        finals = [history[rank][-1][1] for rank in sorted(history)]
+        _field("final windows", f"{finals} ({changes} change(s))")
+
+
+def _mode(args: argparse.Namespace, policy) -> str:
+    if policy is None:
+        return ""
+    return f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})"
+
+
+def _cmd_nbody(args: argparse.Namespace) -> int:
+    """``repro nbody``: one headline N-body run on any backend."""
+    from repro.api import run as api_run
+    from repro.harness.experiments import nbody_run_config
+
+    try:
+        latency, jitter, timeout = _mp_flags(args)
+        policy = _window_policy(args)
+        config = nbody_run_config(
+            args.p, args.backend, iterations=args.iterations,
+            n_particles=args.particles, threshold=args.theta,
+            config=_nbody_overrides(args),
+            fw=args.fw, bw=args.bw, window_policy=policy,
+            record_trace=bool(args.record_trace), sanitize=args.sanitize,
+            latency=latency, jitter=jitter, timeout=timeout,
         )
-        print(
-            f"  final windows       : {result.final_windows()} "
-            f"({changes} change(s))"
-        )
+    except (_UsageError, ValueError) as exc:
+        print(f"repro nbody: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    report = api_run(config)
+    _save_trace(args, report)
+    latency_note = f" latency={latency}s" if args.backend == "mp" else ""
+    print(
+        f"p={args.p} FW={args.fw} N={args.particles} T={args.iterations} "
+        f"theta={args.theta} backend={args.backend}{latency_note}"
+        f"{_mode(args, policy)}"
+    )
+    # Particle-level counters live on the program object, so only the
+    # in-process backends can report them; mp keeps them in the workers.
+    particles = (
+        None if args.backend == "mp"
+        else config.program.spec_stats.incorrect_fraction
+    )
+    _print_report(report, policy, particles)
     return 0
 
 
@@ -480,27 +416,17 @@ def _cmd_jacobi(args: argparse.Namespace) -> int:
     report = api_run(_run_config(
         args, program, policy, None, latency, jitter, timeout, seed,
     ))
-    if args.record_trace:
-        report.event_log.save(args.record_trace)
-        print(f"(trace: {len(report.event_log)} events written to "
-              f"{args.record_trace})")
+    _save_trace(args, report)
     x = np.empty(program.partition.n)
     for rank, idx in enumerate(program.partition):
         x[idx] = report.results[rank]
     residual = float(np.max(np.abs(program.a @ x - program.b)))
-    unit = {"des": "virtual s", "loopback": "rounds", "mp": "wall s"}
-    mode = f" adaptive(epoch={args.epoch}, max_fw={args.max_fw})" if policy else ""
     print(
         f"p={args.p} FW={args.fw} n={args.n} T={args.iterations} "
-        f"theta={args.theta} backend={args.backend}{mode}"
+        f"theta={args.theta} backend={args.backend}{_mode(args, policy)}"
     )
-    print(f"  wall                : {report.wall_seconds:.3f} "
-          f"{unit[args.backend]}")
-    print(f"  residual (max |Ax-b|): {residual:.3e}")
-    print(f"  rejected speculation: {100 * report.rejection_rate:.2f}%")
-    if policy is not None:
-        changes = sum(len(h) - 1 for h in report.window_history.values())
-        print(f"  window changes      : {changes}")
+    _print_report(report, policy)
+    _field("residual (max |Ax-b|)", f"{residual:.3e}")
     return 0
 
 
@@ -606,10 +532,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"chaos: sanitizer violation — {first_line}")
             return EXIT_FINDINGS
         raise
-    if args.record_trace:
-        report.event_log.save(args.record_trace)
-        print(f"(trace: {len(report.event_log)} events written to "
-              f"{args.record_trace})")
+    _save_trace(args, report)
 
     summary = report.fault_summary or {"injected": {}, "total_injected": 0,
                                        "retransmits_serviced": 0,
@@ -633,9 +556,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"{summary['outstanding_losses']} outstanding")
     print(f"  engine              : {requested} retransmit request(s), "
           f"{suppressed} duplicate(s) suppressed")
-    unit = {"des": "virtual s", "loopback": "rounds", "mp": "wall s"}
-    print(f"  wall                : {report.wall_seconds:.3f} "
-          f"{unit[args.backend]}")
+    clock, _, digits = _UNITS[args.backend]
+    print(f"  makespan            : {report.wall_seconds:.{digits}f} {clock}")
     if policy is not None:
         changes = sum(len(h) - 1 for h in report.window_history.values())
         print(f"  window changes      : {changes}")
@@ -678,13 +600,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        analyze_paths,
-        apply_baseline,
-        render,
-        render_sarif,
-        write_baseline,
-    )
+    from repro.analysis import analyze_paths, render, render_sarif
 
     paths = args.paths or ["src"]
     try:
@@ -692,20 +608,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.write_baseline:
-        count = write_baseline(diagnostics, args.write_baseline)
-        print(
-            f"specflow: baseline with {count} fingerprint(s) written to "
-            f"{args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specflow", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specflow: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
+    diagnostics = _baseline_gate("specflow", args, diagnostics)
+    if isinstance(diagnostics, int):
+        return diagnostics
     if args.format == "sarif":
         print(render_sarif(diagnostics), end="")
     else:
@@ -742,11 +647,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        apply_baseline,
-        render_sarif,
-        write_baseline,
-    )
+    from repro.analysis import render_sarif
     from repro.analysis.diagnostics import SPP_RULES
     from repro.analysis.perf import analyze_paths, check_contracts
     from repro.analysis.perf.contracts import CONFIRMED, format_share_table
@@ -762,20 +663,9 @@ def _cmd_perf_lint(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.write_baseline:
-        count = write_baseline(diagnostics, args.write_baseline)
-        print(
-            f"specperf: baseline with {count} fingerprint(s) written to "
-            f"{args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specperf", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specperf: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
+    diagnostics = _baseline_gate("specperf", args, diagnostics)
+    if isinstance(diagnostics, int):
+        return diagnostics
     if args.format == "sarif":
         print(
             render_sarif(
@@ -817,36 +707,44 @@ def _cmd_perf_lint(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
-def _load_accepted(tool: str, path: str) -> frozenset[str]:
-    """Accepted fingerprints for ``tool`` from either baseline schema.
+def _baseline_gate(tool: str, args: argparse.Namespace, diagnostics: list):
+    """``--write-baseline`` / ``--baseline`` for one analysis family.
 
-    Consolidated v2 documents are keyed by tool; legacy v1 files hold
-    one tool's flat set.  Sniffing the version here lets every gate
-    point at ``.speclint/baselines.json`` after migration while old
-    per-tool files keep working.
+    Both go through the consolidated baseline file, under ``tool``'s
+    key.  Returns an exit code when the flags end the command (the
+    baseline was written, or could not be read or written), otherwise
+    the diagnostics the baseline does not accept.
     """
-    import json
+    from repro.analysis import apply_baseline, fingerprint
+    from repro.analysis.baselines import load_baselines, set_baseline
 
-    from repro.analysis import load_baseline
-    from repro.analysis.baselines import SCHEMA_VERSION, load_baselines
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") == SCHEMA_VERSION:
-        return load_baselines(path).get(tool, frozenset())
-    return load_baseline(path)
+    try:
+        if args.write_baseline:
+            prints = frozenset(fingerprint(d) for d in diagnostics)
+            set_baseline(tool, prints, args.write_baseline)
+            print(
+                f"{tool}: baseline with {len(prints)} fingerprint(s) written "
+                f"to {args.write_baseline} (tool key: {tool})"
+            )
+            return EXIT_CLEAN
+        if args.baseline:
+            accepted = load_baselines(args.baseline).get(tool, frozenset())
+            return apply_baseline(diagnostics, accepted)
+    except (OSError, ValueError) as exc:
+        action = "write" if args.write_baseline else "read"
+        print(f"{tool}: cannot {action} baseline: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return diagnostics
 
 
 def _cmd_taint(args: argparse.Namespace) -> int:
-    from repro.analysis import apply_baseline, render_sarif
-    from repro.analysis.baselines import set_baseline
+    from repro.analysis import render_sarif
     from repro.analysis.diagnostics import SPT_RULES
     from repro.analysis.reporting import (
         render_diag_json,
         render_diag_text,
         rule_catalogue_entries,
     )
-    from repro.analysis.sarif import fingerprint
     from repro.analysis.taint import analyze_paths, check_taint
 
     paths = args.paths or ["src"]
@@ -855,21 +753,9 @@ def _cmd_taint(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.write_baseline:
-        prints = frozenset(fingerprint(d) for d in diagnostics)
-        set_baseline("spectaint", prints, args.write_baseline)
-        print(
-            f"spectaint: baseline with {len(prints)} fingerprint(s) written "
-            f"to {args.write_baseline} (tool key: spectaint)"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("spectaint", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"spectaint: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
+    diagnostics = _baseline_gate("spectaint", args, diagnostics)
+    if isinstance(diagnostics, int):
+        return diagnostics
     if args.format == "sarif":
         print(
             render_sarif(
@@ -916,8 +802,7 @@ def _cmd_taint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from repro.analysis import apply_baseline, render_sarif
-    from repro.analysis.baselines import set_baseline
+    from repro.analysis import render_sarif
     from repro.analysis.bounds import REFUTED, check_occupancy
     from repro.analysis.bounds import analyze_paths as analyze_bounds
     from repro.analysis.diagnostics import SPB_RULES
@@ -926,7 +811,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         render_diag_text,
         rule_catalogue_entries,
     )
-    from repro.analysis.sarif import fingerprint
 
     paths = args.paths or ["src"]
     try:
@@ -934,21 +818,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.write_baseline:
-        prints = frozenset(fingerprint(d) for d in diagnostics)
-        set_baseline("specbound", prints, args.write_baseline)
-        print(
-            f"specbound: baseline with {len(prints)} fingerprint(s) written "
-            f"to {args.write_baseline} (tool key: specbound)"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        try:
-            accepted = _load_accepted("specbound", args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"specbound: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        diagnostics = apply_baseline(diagnostics, accepted)
+    diagnostics = _baseline_gate("specbound", args, diagnostics)
+    if isinstance(diagnostics, int):
+        return diagnostics
     if args.format == "sarif":
         print(
             render_sarif(
@@ -993,11 +865,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: all five analysis families over one parse."""
     from repro.analysis import apply_baseline
-    from repro.analysis.baselines import (
-        DEFAULT_BASELINES,
-        baseline_for,
-        migrate_baselines,
-    )
+    from repro.analysis.baselines import DEFAULT_BASELINES, baseline_for
     from repro.analysis.bounds import specbound
     from repro.analysis.diagnostics import (
         RULES,
@@ -1020,12 +888,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.sarif import _result
     from repro.analysis import specflow
     from repro.analysis.taint import spectaint
-
-    if args.migrate_baselines:
-        target = args.baselines or str(DEFAULT_BASELINES)
-        for action in migrate_baselines(target):
-            print(action)
-        return EXIT_CLEAN
 
     paths = args.paths or ["src"]
     import time as _time
@@ -1306,6 +1168,23 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if violating is not None else EXIT_CLEAN
 
 
+def _add_baseline_flags(parser: argparse.ArgumentParser) -> None:
+    """``--baseline`` / ``--write-baseline``, shared by every analysis
+    family (see :func:`_baseline_gate`)."""
+    parser.add_argument(
+        "--baseline",
+        metavar="FILE",
+        help="suppress findings whose fingerprints this consolidated "
+        "baseline file accepts",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        metavar="FILE",
+        help="record the current findings under this tool's key of the "
+        "consolidated baseline file and exit 0",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1463,16 +1342,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODE",
         help="only run the given rule (repeatable), e.g. --select SPF101",
     )
-    p_an.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts",
-    )
-    p_an.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
+    _add_baseline_flags(p_an)
     p_an.add_argument(
         "--trace",
         metavar="FILE",
@@ -1508,16 +1378,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODE",
         help="only run the given rule (repeatable), e.g. --select SPP203",
     )
-    p_pl.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts",
-    )
-    p_pl.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
+    _add_baseline_flags(p_pl)
     p_pl.add_argument(
         "--trace",
         metavar="FILE",
@@ -1563,18 +1424,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODE",
         help="only run the given rule (repeatable), e.g. --select SPT301",
     )
-    p_tn.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts "
-        "(accepts the consolidated baselines.json or a legacy v1 file)",
-    )
-    p_tn.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings under the `spectaint` key of "
-        "the consolidated baseline file and exit 0",
-    )
+    _add_baseline_flags(p_tn)
     p_tn.add_argument(
         "--trace",
         metavar="FILE",
@@ -1604,18 +1454,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODE",
         help="only run the given rule (repeatable), e.g. --select SPB401",
     )
-    p_bd.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings whose fingerprints this baseline accepts "
-        "(accepts the consolidated baselines.json or a legacy v1 file)",
-    )
-    p_bd.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings under the `specbound` key of "
-        "the consolidated baseline file and exit 0",
-    )
+    _add_baseline_flags(p_bd)
     p_bd.add_argument(
         "--trace",
         metavar="FILE",
@@ -1673,12 +1512,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="consolidated baseline file (default: .speclint/baselines.json "
         "when present)",
-    )
-    p_ck.add_argument(
-        "--migrate-baselines",
-        action="store_true",
-        help="one-shot: merge the legacy per-tool baseline files into the "
-        "consolidated schema-versioned document, then exit",
     )
     p_ck.add_argument(
         "--stats",

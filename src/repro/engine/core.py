@@ -118,6 +118,23 @@ def default_pre_send_horizon(engine: "SpecEngine", t: int) -> int:
     return t - max(engine.fw, 1)
 
 
+def run_ahead_bound(fw: int) -> int:
+    """Worst-case run-ahead backlog ``2 * max(fw, 1)`` at a receiver.
+
+    Write F = max(fw, 1), and let peer k read this rank's blocks
+    (every bundled app's dependencies are symmetric).  k sends X_k(t)
+    only once its own verified horizon reaches t - F (the pre-send
+    gate), so it holds this rank's X_j(t - F); this rank sent that
+    block only once *its* horizon reached t - 2F.  Horizons never
+    move back, so when X_k(t) lands here, t - verified_upto <= 2F.
+    Under faults both steps can be tight at once: a third rank's
+    message held back keeps this rank's horizon put while k, which
+    already has it, legitimately sends on (FW = 0 reaches a backlog
+    of 2).  See the invariant table in ``docs/protocol.md``.
+    """
+    return 2 * max(fw, 1)
+
+
 def default_window_ok(engine: "SpecEngine", t: int) -> bool:
     """May iteration ``t`` start given the rank's forward window?"""
     if engine.fw == 0:
@@ -293,10 +310,7 @@ class SpecEngine:
                 self.policy.max_fw if self.policy is not None else self.fw
             )
             self.sanitizer.on_inbox_depth(
-                self.rank,
-                k,
-                t - self.verified_upto,
-                fw_bound + max(fw_bound, 1),
+                self.rank, k, t - self.verified_upto, run_ahead_bound(fw_bound)
             )
 
     def prune(self) -> None:

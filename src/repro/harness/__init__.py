@@ -16,8 +16,8 @@ from repro.harness.experiments import (
     fig6_error_sensitivity,
     fig8_nbody_speedup,
     fig9_model_vs_measured,
+    nbody_run_config,
     run_nbody,
-    run_nbody_mp,
     table2_phase_times,
     table3_threshold_sweep,
 )
@@ -36,8 +36,8 @@ __all__ = [
     "fig9_model_vs_measured",
     "format_table",
     "get_experiment",
+    "nbody_run_config",
     "run_nbody",
-    "run_nbody_mp",
     "table2_phase_times",
     "table3_threshold_sweep",
 ]

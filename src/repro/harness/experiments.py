@@ -26,8 +26,9 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.api import RunConfig, run as api_run
 from repro.apps import NBodyProgram
-from repro.core import RunResult, run_program
+from repro.core import RunResult
 from repro.core.results import speedup_max
 from repro.harness.tables import format_table
 from repro.harness.toys import ConstantProgram, JumpyProgram
@@ -41,7 +42,7 @@ from repro.perfmodel import (
     section4_params,
 )
 from repro.platforms import two_processor_demo, wustl_1994
-from repro.trace import EventLog, render_gantt
+from repro.trace import render_gantt
 
 #: Shared configuration for the measured N-body experiments.
 HEADLINE: dict[str, Any] = {
@@ -91,6 +92,56 @@ class ExperimentResult:
 # --------------------------------------------------------------------------
 # Shared N-body runner
 # --------------------------------------------------------------------------
+def nbody_run_config(
+    p: int,
+    backend: str = "des",
+    iterations: Optional[int] = None,
+    n_particles: Optional[int] = None,
+    threshold: Optional[float] = None,
+    record_force_errors: bool = False,
+    config: Optional[dict[str, Any]] = None,
+    **run_fields: Any,
+) -> RunConfig:
+    """The :data:`HEADLINE` N-body run on ``backend`` as one
+    :class:`~repro.api.RunConfig`.
+
+    ``config`` overrides :data:`HEADLINE` entries (``cascade`` and
+    ``seed`` included); ``run_fields`` are the remaining ``RunConfig``
+    fields (``fw``, ``bw``, ``window_policy``, ``record_trace``, ...).
+    On ``"des"`` the program runs on the calibrated WUSTL platform
+    (its capacities and cluster); ``"loopback"`` and ``"mp"`` have no
+    simulated machine, so capacities are uniform.
+    """
+    cfg = dict(HEADLINE)
+    if config:
+        cfg.update(config)
+    n = n_particles if n_particles is not None else cfg["n_particles"]
+    cluster = None
+    if backend == "des":
+        platform = wustl_1994(
+            p=p,
+            jitter_sigma=cfg["jitter_sigma"],
+            background_frames_per_s=cfg["background_frames_per_s"],
+            bursty_traffic=cfg["bursty_traffic"],
+            seed=cfg["seed"],
+        )
+        capacities, cluster = platform.capacities(), platform.cluster()
+    else:
+        capacities = [1.0] * p
+    program = NBodyProgram(
+        uniform_cube(n, seed=cfg["ic_seed"], softening=cfg["softening"]),
+        capacities,
+        iterations=iterations if iterations is not None else cfg["iterations"],
+        dt=cfg["dt"],
+        threshold=threshold if threshold is not None else cfg["threshold"],
+        record_force_errors=record_force_errors,
+    )
+    return RunConfig(
+        program, backend=backend, cascade=cfg["cascade"], seed=cfg["seed"],
+        cluster=cluster, **run_fields,
+    )
+
+
 def run_nbody(
     p: int,
     fw: int,
@@ -99,115 +150,26 @@ def run_nbody(
     threshold: Optional[float] = None,
     record_force_errors: bool = False,
     config: Optional[dict[str, Any]] = None,
-    event_log: Optional[EventLog] = None,
     window_policy: Optional[Any] = None,
     hist_cap: Optional[int] = None,
     sanitize: Optional[bool] = None,
 ) -> tuple[NBodyProgram, RunResult]:
     """One measured N-body run on the calibrated platform.
 
-    Prefer :func:`repro.api.run` for new code that does not need the
-    calibrated WUSTL platform; this remains the harness primitive the
-    paper's experiments (and ``repro nbody``) drive.
-
-    Returns the program (whose ``spec_stats`` carry particle-level
-    counters) and the :class:`~repro.core.RunResult`.  Pass an
-    ``event_log`` to record every protocol step (send/recv/speculate/
-    verify/correct) for ``repro analyze --trace`` replay, and a
-    ``window_policy`` (e.g. :class:`~repro.policy.AimdWindow`) to let
-    each rank retune its forward window at runtime — ``fw`` is then
-    the initial window and ``RunResult.window_history`` records the
-    per-rank trajectories.
+    The DES run of :func:`nbody_run_config` through
+    :func:`repro.api.run`.  Returns the program (whose ``spec_stats``
+    carry particle-level counters) and the
+    :class:`~repro.core.RunResult`.  A ``window_policy`` (e.g.
+    :class:`~repro.policy.AimdWindow`) lets each rank retune its
+    forward window at runtime — ``fw`` is then the initial window and
+    ``RunResult.window_history`` records the per-rank trajectories.
     """
-    cfg = dict(HEADLINE)
-    if config:
-        cfg.update(config)
-    n = n_particles if n_particles is not None else cfg["n_particles"]
-    iters = iterations if iterations is not None else cfg["iterations"]
-    theta = threshold if threshold is not None else cfg["threshold"]
-
-    platform = wustl_1994(
-        p=p,
-        jitter_sigma=cfg["jitter_sigma"],
-        background_frames_per_s=cfg["background_frames_per_s"],
-        bursty_traffic=cfg["bursty_traffic"],
-        seed=cfg["seed"],
-    )
-    system = uniform_cube(n, seed=cfg["ic_seed"], softening=cfg["softening"])
-    program = NBodyProgram(
-        system,
-        platform.capacities(),
-        iterations=iters,
-        dt=cfg["dt"],
-        threshold=theta,
-        record_force_errors=record_force_errors,
-    )
-    cluster = platform.cluster()
-    if event_log is not None:
-        cluster.event_log = event_log
-    result = run_program(
-        program, cluster, fw=fw, cascade=cfg["cascade"],
-        window_policy=window_policy, hist_cap=hist_cap, sanitize=sanitize,
-    )
-    return program, result
-
-
-def run_nbody_mp(
-    p: int,
-    fw: int,
-    iterations: Optional[int] = None,
-    n_particles: Optional[int] = None,
-    threshold: Optional[float] = None,
-    latency: float = 0.05,
-    jitter: float = 0.0,
-    config: Optional[dict[str, Any]] = None,
-    record_events: bool = False,
-    timeout: float = 300.0,
-    window_policy: Optional[Any] = None,
-    hist_cap: Optional[int] = None,
-    sanitize: Optional[bool] = None,
-) -> tuple[NBodyProgram, Any]:
-    """One N-body run on **real OS processes** (the mp backend).
-
-    Same initial conditions and protocol as :func:`run_nbody` — the
-    identical :class:`~repro.engine.SpecEngine` runs per rank — but
-    interpreted over :class:`~repro.engine.pipes.PipeTransport` with
-    ``latency`` wall-seconds of injected one-way delay instead of the
-    simulated WUSTL platform.  Capacities are uniform (real cores);
-    the second element of the return is an
-    :class:`~repro.parallel.runner.MPRunResult`.
-    """
-    from repro.parallel import MPRunner  # deferred: spawns processes
-
-    cfg = dict(HEADLINE)
-    if config:
-        cfg.update(config)
-    n = n_particles if n_particles is not None else cfg["n_particles"]
-    iters = iterations if iterations is not None else cfg["iterations"]
-    theta = threshold if threshold is not None else cfg["threshold"]
-
-    system = uniform_cube(n, seed=cfg["ic_seed"], softening=cfg["softening"])
-    program = NBodyProgram(
-        system,
-        [1.0] * p,
-        iterations=iters,
-        dt=cfg["dt"],
-        threshold=theta,
-    )
-    runner = MPRunner(
-        program,
-        fw=fw,
-        latency=latency,
-        jitter=jitter,
-        seed=cfg["seed"],
-        cascade=cfg["cascade"],
-        record_events=record_events,
-        window_policy=window_policy,
-        hist_cap=hist_cap,
+    run_config = nbody_run_config(
+        p, "des", iterations, n_particles, threshold, record_force_errors,
+        config, fw=fw, bw=hist_cap, window_policy=window_policy,
         sanitize=sanitize,
     )
-    result = runner.run(timeout=timeout)
-    return program, result
+    return run_config.program, api_run(run_config).raw
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +195,7 @@ def fig2_timelines(
             compute_seconds=compute_seconds, comm_seconds=comm_seconds
         )
         program = program_cls(nprocs=2, iterations=iterations)
-        result = run_program(program, platform.cluster(), fw=fw)
+        result = api_run(RunConfig(program, cluster=platform.cluster(), fw=fw)).raw
         charts[label] = render_gantt(result.traces, width=width)
         scenarios.append((label, result.makespan))
         return result
@@ -294,7 +256,7 @@ def fig4_forward_window(
             ],
         )
         program = ConstantProgram(nprocs=2, iterations=iterations)
-        result = run_program(program, platform.cluster(), fw=fw)
+        result = api_run(RunConfig(program, cluster=platform.cluster(), fw=fw)).raw
         rows.append([fw, result.makespan])
         charts[fw] = render_gantt(result.traces, width=width)
     base = rows[0][1]

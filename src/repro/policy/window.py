@@ -115,10 +115,8 @@ class AimdWindow:
       ``reject_high`` the gap² error growth makes speculation a net
       loss → shrink by one.
 
-    Parameters are exactly ``AdaptivePolicy``'s (the deprecated
-    driver-level surface now constructs one of these).  Marks are
-    private per-instance state; the engine spawns one policy per rank
-    so ranks adapt independently.
+    Marks are private per-instance state; the engine spawns one
+    policy per rank so ranks adapt independently.
     """
 
     epoch: int = 4

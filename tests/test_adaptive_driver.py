@@ -1,11 +1,13 @@
-"""Tests for the adaptive forward-window driver."""
+"""Tests for the adaptive forward window: an :class:`AimdWindow`
+seated in every rank's engine, run through :func:`repro.api.run`."""
 
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.core import ZeroOrderHold
-from repro.core.adaptive import AdaptivePolicy, AdaptiveSpeculativeDriver
 from repro.netsim import ConstantLatency, DelayNetwork
+from repro.policy import AimdWindow
 from repro.vm import Cluster, uniform_specs
 
 from tests.toy_programs import CoupledIncrement, RandomDrift
@@ -16,6 +18,19 @@ def make_cluster(p, latency, capacity=1000.0):
         uniform_specs(p, capacity=capacity),
         network_factory=lambda env: DelayNetwork(env, ConstantLatency(latency)),
     )
+
+
+def run_adaptive(prog, cluster, fw=1, **policy):
+    """One DES run with the paper's local-correction cascade and an
+    AIMD window policy (``policy`` overrides its defaults)."""
+    return run(RunConfig(
+        prog, cluster=cluster, fw=fw, cascade="none",
+        window_policy=AimdWindow(**policy),
+    ))
+
+
+def final_windows(report):
+    return [history[-1][1] for history in report.window_history.values()]
 
 
 def constant_prog(iterations=24, **kw):
@@ -29,70 +44,55 @@ def constant_prog(iterations=24, **kw):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        AdaptivePolicy(epoch=0)
+        AimdWindow(epoch=0)
     with pytest.raises(ValueError):
-        AdaptivePolicy(min_fw=3, max_fw=2)
+        AimdWindow(min_fw=3, max_fw=2)
     with pytest.raises(ValueError):
-        AdaptivePolicy(reject_low=0.5, reject_high=0.2)
+        AimdWindow(reject_low=0.5, reject_high=0.2)
     with pytest.raises(ValueError):
-        AdaptivePolicy(wait_fraction=-0.1)
+        AimdWindow(wait_fraction=-0.1)
 
 
 def test_initial_fw_must_lie_in_bounds():
     prog = constant_prog(iterations=4)
     with pytest.raises(ValueError):
-        AdaptiveSpeculativeDriver(
-            prog, make_cluster(2, 0.1), fw=5, policy=AdaptivePolicy(max_fw=3)
-        )
+        run_adaptive(prog, make_cluster(2, 0.1), fw=5, max_fw=3)
 
 
 def test_window_widens_under_large_delays():
     """comm = 3x compute: FW=1 leaves waiting, so the controller widens."""
     prog = constant_prog(iterations=32)
-    driver = AdaptiveSpeculativeDriver(
-        prog, make_cluster(2, latency=3.0), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=4),
-    )
-    result = driver.run()
-    assert all(fw >= 2 for fw in driver.final_windows())
+    report = run_adaptive(prog, make_cluster(2, latency=3.0), fw=1,
+                          epoch=4, max_fw=4)
+    assert all(fw >= 2 for fw in final_windows(report))
     # And widening actually helped relative to a static FW=1 run.
-    from repro.core import run_program
-
-    static = run_program(constant_prog(iterations=32), make_cluster(2, 3.0), fw=1)
-    assert result.makespan < static.makespan
+    static = run(RunConfig(constant_prog(iterations=32),
+                           cluster=make_cluster(2, 3.0), fw=1))
+    assert report.wall_seconds < static.wall_seconds
 
 
 def test_window_shrinks_when_speculation_always_wrong():
     """Hostile dynamics: the controller backs down toward blocking."""
     prog = RandomDrift(nprocs=2, iterations=32, coupling=0.0, threshold=0.0,
                        ops_per_compute=1000.0)
-    driver = AdaptiveSpeculativeDriver(
-        prog, make_cluster(2, latency=2.0), fw=3,
-        policy=AdaptivePolicy(epoch=4, min_fw=0, max_fw=4),
-    )
-    driver.run()
-    assert all(fw < 3 for fw in driver.final_windows())
+    report = run_adaptive(prog, make_cluster(2, latency=2.0), fw=3,
+                          epoch=4, min_fw=0, max_fw=4)
+    assert all(fw < 3 for fw in final_windows(report))
 
 
 def test_window_stable_when_masking_complete():
     """comm < compute and perfect speculation: FW=1 suffices, no drift."""
     prog = constant_prog(iterations=24)
-    driver = AdaptiveSpeculativeDriver(
-        prog, make_cluster(2, latency=0.5), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=4),
-    )
-    driver.run()
-    assert driver.final_windows() == [1, 1]
+    report = run_adaptive(prog, make_cluster(2, latency=0.5), fw=1,
+                          epoch=4, max_fw=4)
+    assert final_windows(report) == [1, 1]
 
 
 def test_history_records_decisions():
     prog = constant_prog(iterations=32)
-    driver = AdaptiveSpeculativeDriver(
-        prog, make_cluster(2, latency=3.0), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=3),
-    )
-    driver.run()
-    for history in driver.fw_history:
+    report = run_adaptive(prog, make_cluster(2, latency=3.0), fw=1,
+                          epoch=4, max_fw=3)
+    for history in report.window_history.values():
         assert history[0] == (0, 1)
         iters = [it for it, _ in history]
         assert iters == sorted(iters)
@@ -105,11 +105,8 @@ def test_adaptive_results_still_correct():
     """Adaptation must not corrupt the numerics (theta=0, FW<=1 path)."""
     prog = CoupledIncrement(nprocs=3, iterations=16, coupling=0.2,
                             threshold=0.0, ops_per_compute=1000.0)
-    driver = AdaptiveSpeculativeDriver(
-        prog, make_cluster(3, latency=0.2), fw=1,
-        policy=AdaptivePolicy(epoch=4, max_fw=1),  # cap: stays exact
-    )
-    result = driver.run()
+    report = run_adaptive(prog, make_cluster(3, latency=0.2), fw=1,
+                          epoch=4, max_fw=1)  # cap: stays exact
     ref = prog.reference_run()
-    for rank, block in result.final_blocks.items():
+    for rank, block in report.results.items():
         np.testing.assert_allclose(block, ref[rank], atol=1e-9)

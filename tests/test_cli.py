@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.api
 from repro.cli import build_parser, main
+from repro.harness import run_nbody
 
 
 def test_list_command(capsys):
@@ -49,6 +51,63 @@ def test_nbody_shares_run_flags(capsys):
     ])
     assert rc == 0
     assert "scheduler rounds" in capsys.readouterr().out
+
+
+def _field_labels(out):
+    """The ``label: value`` field labels of a run report."""
+    return {
+        line.split(":", 1)[0].strip()
+        for line in out.splitlines()
+        if line.startswith("  ") and ":" in line
+    }
+
+
+@pytest.fixture
+def api_runs(monkeypatch):
+    """Every report ``repro.api.run`` returns while the test runs."""
+    reports = []
+    real = repro.api.run
+
+    def spy(config):
+        reports.append(real(config))
+        return reports[-1]
+
+    monkeypatch.setattr(repro.api, "run", spy)
+    return reports
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_nbody_prints_same_fields_on_every_backend(capsys, api_runs, adaptive):
+    labels = {}
+    for backend in ("des", "loopback", "mp"):
+        argv = ["nbody", "-p", "2", "--particles", "64", "--iterations", "3",
+                "--backend", backend]
+        if backend == "mp":
+            argv += ["--latency", "0.01"]
+        if adaptive:
+            argv.append("--adaptive")
+        assert main(argv) == 0
+        labels[backend] = _field_labels(capsys.readouterr().out)
+    # One api.run call per invocation, on the requested backend.
+    assert [r.backend for r in api_runs] == ["des", "loopback", "mp"]
+    # Per-particle counters stay inside the mp workers: that line is
+    # omitted there rather than printed as a false 0.00%.
+    particles = "rejected speculation (particles)"
+    assert particles in labels["des"] and particles in labels["loopback"]
+    assert labels["des"] == labels["loopback"] == labels["mp"] | {particles}
+    assert {"makespan", "rejected speculation (blocks)",
+            "compute (max over ranks)"} <= labels["mp"]
+    assert ("final windows" in labels["mp"]) == adaptive
+
+
+def test_nbody_des_makespan_matches_run_nbody(capsys, api_runs):
+    assert main(["nbody", "-p", "4", "--fw", "2", "--particles", "200",
+                 "--iterations", "5"]) == 0
+    out = capsys.readouterr().out
+    _, result = run_nbody(p=4, fw=2, n_particles=200, iterations=5)
+    (report,) = api_runs
+    assert report.wall_seconds == result.makespan
+    assert f"{result.makespan:.3f} virtual s" in out
 
 
 def test_mp_only_flags_rejected_off_mp(capsys):

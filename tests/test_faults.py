@@ -111,6 +111,46 @@ def test_drops_heal_and_physics_survive():
         np.testing.assert_array_equal(report.results[rank], clean.results[rank])
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fw0_chaos_stays_within_run_ahead_bound(seed, monkeypatch):
+    """Jacobi at FW=0 under 1% drop/duplicate/reorder plus a 3x
+    straggler, sanitizer armed.  A held third-rank message keeps a
+    receiver's verified horizon put while a peer that already has it
+    legitimately sends on, so the run-ahead backlog reaches the bound
+    exactly; the run heals and matches the fault-free FW=0 physics."""
+    from repro.analysis.sanitizer import ProtocolSanitizer
+    from repro.apps.jacobi import JacobiSolver, diagonally_dominant_system
+    from repro.engine.core import run_ahead_bound
+
+    depths = []
+    checked = ProtocolSanitizer.on_inbox_depth
+
+    def record(self, rank, src, depth, bound):
+        depths.append(depth)
+        checked(self, rank, src, depth, bound)
+
+    monkeypatch.setattr(ProtocolSanitizer, "on_inbox_depth", record)
+    a, b = diagonally_dominant_system(256, seed=3 + seed)
+
+    def program():
+        return JacobiSolver(a, b, capacities=[1000.0] * 16, iterations=60,
+                            threshold=0.0)
+
+    plan = FaultPlan(
+        seed=seed,
+        edges=tuple(EdgeFault(kind=kind, rate=0.01)
+                    for kind in ("drop", "duplicate", "reorder")),
+        ranks=(RankFault(rank=1, slowdown=3.0),),
+    )
+    report = _chaos(plan, program(), fw=0, sanitize=True)
+    assert report.fault_summary["outstanding_losses"] == 0
+    assert max(depths) == run_ahead_bound(0) == 2
+    clean = run(RunConfig(program(), backend="des", fw=0, cascade="recompute",
+                          sanitize=False))
+    for rank in clean.results:
+        np.testing.assert_array_equal(report.results[rank], clean.results[rank])
+
+
 def test_duplicates_are_suppressed():
     plan = FaultPlan(seed=5, edges=(EdgeFault(kind="duplicate", rate=0.5),))
     prog = _program()

@@ -25,11 +25,10 @@ from repro.analysis import (
     apply_baseline,
     cross_reference,
     fingerprint,
-    load_baseline,
     render_sarif,
     replay,
-    write_baseline,
 )
+from repro.analysis.baselines import baseline_for, set_baseline
 from repro.analysis.cfg import CallGraph, ModuleGraphs
 from repro.analysis.races import build_static_hb, collect_comm_sites
 from repro.analysis.replay import build_dynamic_hb, event_key
@@ -365,11 +364,13 @@ def test_runs_without_recording_produce_empty_logs():
 # ---------------------------------------------- simulator differential run
 def test_trace_replay_cross_references_static_findings(tmp_path):
     """Record a simulator run and judge the static findings against it."""
-    from repro.harness import run_nbody
+    from repro.api import run
+    from repro.harness import nbody_run_config
 
-    log = EventLog()
-    run_nbody(p=2, fw=1, iterations=4, n_particles=40, threshold=0.01,
-              event_log=log)
+    log = run(nbody_run_config(
+        2, "des", iterations=4, n_particles=40, threshold=0.01,
+        fw=1, record_trace=True,
+    )).event_log
     assert len(log) > 0
     assert set(ev.kind for ev in log) >= {"send", "recv", "compute"}
 
@@ -417,17 +418,16 @@ def test_fingerprints_are_line_stable():
 
 def test_baseline_roundtrip(tmp_path):
     diags = analyze_fixture("bad_spf110_orphan.py")
-    baseline = tmp_path / "baseline.json"
-    assert write_baseline(diags, baseline) == 2
-    accepted = load_baseline(baseline)
+    baseline = tmp_path / "baselines.json"
+    set_baseline("specflow", frozenset(fingerprint(d) for d in diags), baseline)
+    accepted = baseline_for("specflow", baseline)
+    assert len(accepted) == 2
     assert apply_baseline(diags, accepted) == []
     fresh = _diag("SPF101")
     assert apply_baseline(diags + [fresh], accepted) == [fresh]
 
 
 def test_checked_in_baseline_covers_src():
-    from repro.analysis.baselines import baseline_for
-
     baseline = REPO_ROOT / ".speclint" / "baselines.json"
     accepted = baseline_for("specflow", baseline)
     diags = analyze_paths([str(REPO_ROOT / "src")])
